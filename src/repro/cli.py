@@ -127,11 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(results are identical to --jobs 1)")
         p.add_argument("--cache-dir", metavar="PATH", default=None,
                        help="persistent on-disk result cache directory")
-        p.add_argument("--batch-cells", type=positive_int, default=1,
-                       metavar="N",
-                       help="cells simulated back-to-back per worker task on "
-                       "shared kernel buffers; amortizes per-cell setup, "
-                       "results are identical to --batch-cells 1")
         p.add_argument("--verbose", action="store_true",
                        help="per-cell timing and cache hit/miss reporting")
 
@@ -563,7 +558,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         verbose=args.verbose,
         faults=args.faults,
         retry=_retry_from_args(args),
-        batch_cells=args.batch_cells,
         arrivals=args.arrivals,
         tenants=args.tenants,
     )
@@ -778,7 +772,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cache_dir=args.cache_dir,
             verbose=args.verbose,
             retry=_retry_from_args(args),
-            batch_cells=args.batch_cells,
         )
         fn = run_figure4 if args.command == "figure4" else run_figure5
         result = fn(runner, fast_counts=tuple(args.fast))
@@ -817,7 +810,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cache_dir=args.cache_dir,
             verbose=args.verbose,
             retry=_retry_from_args(args),
-            batch_cells=args.batch_cells,
         )
         print(study.render())
         print(study.stats.summary())
@@ -845,7 +837,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             verbose=args.verbose,
-            batch_cells=args.batch_cells,
         )
         print(study.render())
         if args.csv:
@@ -885,7 +876,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(run_experiment(args.exp_id, scale=args.scale,
                                  seeds=tuple(args.seeds), jobs=args.jobs,
                                  cache_dir=args.cache_dir,
-                                 batch_cells=args.batch_cells,
                                  verbose=args.verbose))
     elif args.command == "characterize":
         stats = [

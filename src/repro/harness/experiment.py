@@ -42,7 +42,6 @@ class RunContext:
     jobs: int = 1
     cache_dir: Optional[str] = None
     verbose: bool = False
-    batch_cells: int = 1
 
     def runner(self, **overrides) -> GridRunner:
         kwargs = dict(
@@ -51,7 +50,6 @@ class RunContext:
             jobs=self.jobs,
             cache_dir=self.cache_dir,
             verbose=self.verbose,
-            batch_cells=self.batch_cells,
         )
         kwargs.update(overrides)
         return GridRunner(**kwargs)
@@ -101,7 +99,6 @@ def _degradation(ctx: RunContext) -> str:
         jobs=ctx.jobs,
         cache_dir=ctx.cache_dir,
         verbose=ctx.verbose,
-        batch_cells=ctx.batch_cells,
     ).render()
 
 
@@ -112,7 +109,6 @@ def _latency(ctx: RunContext) -> str:
         jobs=ctx.jobs,
         cache_dir=ctx.cache_dir,
         verbose=ctx.verbose,
-        batch_cells=ctx.batch_cells,
     ).render()
 
 
@@ -199,7 +195,6 @@ def run_experiment(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     verbose: bool = False,
-    batch_cells: int = 1,
 ) -> str:
     """Run one experiment by id and return its rendered artifact."""
     ctx = RunContext(
@@ -208,7 +203,6 @@ def run_experiment(
         jobs=jobs,
         cache_dir=cache_dir,
         verbose=verbose,
-        batch_cells=batch_cells,
     )
     for exp in EXPERIMENTS:
         if exp.exp_id == exp_id:

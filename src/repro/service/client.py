@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 from urllib.parse import urlsplit
 
+from ..harness.executor import jittered_backoff_s
 from .protocol import DEFAULT_CLIENT, DEFAULT_HOST, DEFAULT_PORT
 
 __all__ = [
@@ -120,10 +121,11 @@ class CircuitOpenError(ServiceUnavailableError):
 class ClientRetryPolicy:
     """Retry/backoff behavior of one :class:`ServiceClient`.
 
-    Mirrors the executor's :class:`~repro.harness.executor.RetryPolicy`
-    idiom: exponential base doubling per attempt, jitter drawn from a
-    seeded RNG so the schedule is reproducible, hard cap per delay plus a
-    total budget across one logical request.
+    Shares the executor's backoff
+    (:func:`~repro.harness.executor.jittered_backoff_s`): exponential base
+    doubling per attempt, jitter drawn from a seeded RNG so the schedule
+    is reproducible, hard cap per delay; adds a total budget across one
+    logical request.
     """
 
     #: Total tries per request (first attempt included).
@@ -149,8 +151,9 @@ class ClientRetryPolicy:
 
     def backoff_s(self, attempt: int, rng: random.Random) -> float:
         """Jittered exponential delay before retry number ``attempt``."""
-        base = min(self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1)))
-        return base * (0.5 + 0.5 * rng.random())
+        return jittered_backoff_s(
+            attempt, self.backoff_base_s, self.backoff_cap_s, rng
+        )
 
     def schedule(self, retries: Optional[int] = None) -> list[float]:
         """The deterministic delay sequence one request would see.

@@ -28,7 +28,8 @@ Architecture, front to back:
   executor's own stuck-pool recovery, one layer up).
 
 Durability: submissions are appended (fsynced) to ``<state>/jobs.jsonl``
-before they are acknowledged, completed cells land in the result cache
+before they are acknowledged (one that cannot be made durable is refused
+with a 500, never acknowledged), completed cells land in the result cache
 and the fsynced sweep journal.  A SIGKILLed daemon therefore restarts by
 replaying ``jobs.jsonl``: finished cells resolve instantly from the cache
 (counted as *resumed* when the journal vouches for them) and only
@@ -52,7 +53,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..harness.cache import ResultCache
 from ..harness.executor import CellSpec, RetryPolicy, SweepExecutor, SweepStats
-from ..harness.journal import SweepJournal
+from ..harness.journal import JsonlAppender, SweepJournal, read_jsonl
 from ..runtime.system import RunResult
 from ..sim.config import MachineConfig
 from ..sim.serialize import result_to_dict
@@ -222,7 +223,7 @@ class SweepService:
         self._client_inflight: dict[str, int] = {}
         self._jobs_log_path = os.path.join(state_dir, "jobs.jsonl")
         self._log_lock = threading.Lock()
-        self._jobs_log: Optional[Any] = None
+        self._jobs_log = JsonlAppender(self._jobs_log_path)
         self._started_monotonic = time.monotonic()
         self._stop = threading.Event()
         self._worker: Optional[threading.Thread] = None
@@ -331,12 +332,7 @@ class SweepService:
                 journal = self.journal
             journal.close()
         with self._log_lock:
-            if self._jobs_log is not None:
-                try:
-                    self._jobs_log.close()
-                except OSError:
-                    pass
-                self._jobs_log = None
+            self._jobs_log.close()
         if stuck:
             raise ServiceShutdownError(message)
 
@@ -351,7 +347,8 @@ class SweepService:
     ) -> None:
         """Persist a submission before acknowledging it (fsync, like the
         sweep journal): a SIGKILLed daemon must be able to finish every
-        job it ever accepted."""
+        job it ever accepted.  Raises ``OSError`` when the entry is not
+        durable, so the submission is refused rather than acknowledged."""
         entry: dict[str, Any] = {
             "job": job_id,
             "client": client,
@@ -361,30 +358,11 @@ class SweepService:
             entry["criticality"] = criticality
         if idempotency is not None:
             entry["idempotency"] = idempotency
-        line = json.dumps(entry, sort_keys=True)
         # Concurrent submits run on asyncio.to_thread workers; without
         # this lock the lazy open races and interleaved write/fsync pairs
         # can tear lines in the very log whose job is crash recovery.
         with self._log_lock:
-            try:
-                if self._jobs_log is None:
-                    self._jobs_log = open(
-                        self._jobs_log_path, "a", encoding="utf-8"
-                    )
-                    if self._jobs_log.tell() > 0:
-                        # Torn tail from a killed writer: start on a
-                        # fresh line.
-                        with open(self._jobs_log_path, "rb") as fh:
-                            fh.seek(-1, os.SEEK_END)
-                            if fh.read(1) != b"\n":
-                                self._jobs_log.write("\n")
-                self._jobs_log.write(line + "\n")
-                self._jobs_log.flush()
-                os.fsync(self._jobs_log.fileno())
-            except OSError:
-                # An unwritable log degrades restart recovery, nothing
-                # else.
-                pass
+            self._jobs_log.append(entry)
 
     def _recover(self) -> int:
         """Replay ``jobs.jsonl``: re-register every job of previous daemon
@@ -392,27 +370,16 @@ class SweepService:
         unfinished remainder re-enters the queue.  Recovery bypasses
         admission control — these jobs were already accepted."""
         entries: list[tuple[str, str, list[CellSpec], Optional[str]]] = []
-        try:
-            with open(self._jobs_log_path, encoding="utf-8") as fh:
-                for raw in fh:
-                    raw = raw.strip()
-                    if not raw:
-                        continue
-                    try:
-                        entry = json.loads(raw)
-                        job_id = str(entry["job"])
-                        client = str(entry["client"])
-                        specs = [spec_from_dict(c) for c in entry["cells"]]
-                        idem = entry.get("idempotency")
-                        idem = str(idem) if idem is not None else None
-                    except (json.JSONDecodeError, KeyError, TypeError,
-                            ValueError):
-                        continue  # torn tail or garbage: skip, don't crash
-                    entries.append((job_id, client, specs, idem))
-        except FileNotFoundError:
-            return 0
-        except OSError:
-            return 0
+        for entry in read_jsonl(self._jobs_log_path)[0]:
+            try:
+                job_id = str(entry["job"])
+                client = str(entry["client"])
+                specs = [spec_from_dict(c) for c in entry["cells"]]
+                idem = entry.get("idempotency")
+                idem = str(idem) if idem is not None else None
+            except (KeyError, TypeError, ValueError):
+                continue  # garbage entry: skip, don't crash
+            entries.append((job_id, client, specs, idem))
         for job_id, client, specs, idem in entries:
             self._register(job_id, client, specs)
             seq = _job_seq_of(job_id)
@@ -428,8 +395,10 @@ class SweepService:
         """Accept one submit request; returns the receipt.
 
         Raises :class:`~repro.service.overload.DrainingError` while
-        draining and :class:`~repro.service.overload.OverloadedError`
-        when the admission controller sheds the submission.
+        draining, :class:`~repro.service.overload.OverloadedError`
+        when the admission controller sheds the submission, and
+        ``OSError`` when ``jobs.jsonl`` cannot make it durable (nothing
+        is registered then).
         """
         client, specs = expand_submit(body)
         criticality = criticality_of(body, specs)

@@ -14,11 +14,11 @@ This module provides the flat-buffer backing for all three:
 * :class:`TransitionLog` — append-only flat ``(t, core, power, bucket)``
   buffers that let :class:`~repro.sim.energy.EnergyAccountant` integrate
   energy in one sweep instead of accruing on every ``set_state`` edge.
-* :class:`KernelArena` — per-worker-process reusable buffers and
-  per-machine-fingerprint memo dictionaries, so one pool worker can
-  simulate many cells back-to-back (``--batch-cells``) without repeating
-  setup work and without the unbounded/id-aliasing memo growth that
-  naive cross-cell sharing would cause.
+* :class:`KernelArena` — per-thread reusable buffers and
+  per-machine-fingerprint memo dictionaries, so one worker can simulate
+  many cells back-to-back without repeating setup work and without the
+  unbounded/id-aliasing memo growth that naive cross-cell sharing would
+  cause.
 
 Everything here is gated on bitwise-identical output (tests/golden and
 ``tests/sim/test_arrays.py``); the ``REPRO_ARRAY_KERNELS`` environment
@@ -507,7 +507,7 @@ class TransitionLog:
 class KernelArena:
     """Reusable kernel buffers + memos for multi-cell worker sessions.
 
-    One arena lives per worker process (module global in
+    One arena lives per thread that simulates cells (a thread-local in
     :mod:`repro.harness.executor`); ``reset`` is called between cells.
     Two kinds of state with different lifetimes:
 

@@ -1,29 +1,28 @@
-"""Multi-cell worker sessions (``--batch-cells``): bitwise identity,
-arena memo scoping across machine changes, and chunk failure paths.
+"""Cells simulated back-to-back on a thread's kernel arena: bitwise
+identity and arena memo scoping across machine changes.
 
-The batched dispatch exists purely to amortize per-cell setup; these
-tests pin the contract that it is *observably absent* — every result is
-byte-identical to the one-cell-per-task (fresh-state) execution, and a
-failing cell inside a chunk surfaces exactly the error it would have
-raised alone while its chunk-mates still complete.
+Every ``simulate_cell`` call runs on the calling thread's
+:class:`~repro.sim.arrays.KernelArena`, which keeps buffers and
+machine-scoped memos from one cell to the next purely to amortize setup.
+These tests pin the contract that the arena is *observably absent*:
+every result is byte-identical to a reference run that builds its own
+state (no arena at all).
 """
 
 import dataclasses
 import json
 
-import pytest
-
+from repro.core.policies import run_policy
 from repro.harness.executor import (
     CellSpec,
-    RetryPolicy,
     SweepExecutor,
     _machine_fingerprint,
+    _thread_arena,
     simulate_cell,
-    simulate_cell_batch,
 )
-from repro.sim.arrays import KernelArena
 from repro.sim.config import default_machine
-from repro.sim.serialize import machine_to_dict, result_to_dict
+from repro.sim.serialize import machine_from_dict, machine_to_dict, result_to_dict
+from repro.workloads import build_program
 
 SCALE = 0.05
 
@@ -39,6 +38,20 @@ def _canon(result) -> str:
     return json.dumps(result_to_dict(result), sort_keys=True)
 
 
+def _reference(spec, machine_dict=None) -> str:
+    """The cell run with fresh state everywhere: no arena, nothing shared."""
+    machine = machine_from_dict(machine_dict) if machine_dict is not None else None
+    program = build_program(
+        spec.workload, scale=spec.scale, seed=spec.seed, machine=machine
+    )
+    return _canon(
+        run_policy(
+            program, spec.policy, machine=machine, fast_cores=spec.fast,
+            seed=spec.seed, trace_enabled=spec.trace_enabled,
+        )
+    )
+
+
 MIXED_SPECS = [
     _spec(seed=1),
     _spec(seed=2),
@@ -48,67 +61,62 @@ MIXED_SPECS = [
 ]
 
 
-def _run(jobs: int, batch_cells: int):
-    ex = SweepExecutor(jobs=jobs, batch_cells=batch_cells)
-    results, stats = ex.run_cells(list(MIXED_SPECS))
-    return {s: _canon(results[s]) for s in MIXED_SPECS}, stats
+def _run(jobs: int):
+    results, _ = SweepExecutor(jobs=jobs).run_cells(list(MIXED_SPECS))
+    return {s: _canon(results[s]) for s in MIXED_SPECS}
 
 
 class TestBitwiseIdentity:
+    """Executor results (cells back-to-back on one arena per worker
+    thread) equal the arena-free reference runs."""
+
     def test_inline_batched_equals_unbatched(self):
-        plain, _ = _run(jobs=1, batch_cells=1)
-        batched, stats = _run(jobs=1, batch_cells=3)
-        assert batched == plain
-        assert stats.batched_cells == len(MIXED_SPECS)
+        assert _run(jobs=1) == {s: _reference(s) for s in MIXED_SPECS}
 
     def test_pool_batched_equals_unbatched(self):
-        plain, _ = _run(jobs=2, batch_cells=1)
-        batched, stats = _run(jobs=2, batch_cells=3)
-        assert batched == plain
-        assert stats.batched_cells == len(MIXED_SPECS)
-
-    def test_batch_helper_matches_per_cell_calls(self):
-        specs = MIXED_SPECS[:3]
-        fresh = [_canon(simulate_cell(s)[0]) for s in specs]
-        batch = [_canon(r) for r, _ in simulate_cell_batch(tuple(specs))]
-        assert batch == fresh
+        assert _run(jobs=2) == {s: _reference(s) for s in MIXED_SPECS}
 
 
 class TestArenaMachineScoping:
-    """The PR regression test: back-to-back cells with *different*
-    machines through one arena must equal fresh-process runs — the
-    fingerprint-scoped memos may never leak across machines."""
+    """Back-to-back cells with *different* machines on one thread must
+    equal fresh runs — the fingerprint-scoped memos may never leak
+    across machines."""
 
     def _machines(self):
         base = default_machine()
+        # Core leakage changes the watts of every core state, so a power
+        # memo leaking across machines would show in the energy floats.
         hot = dataclasses.replace(
-            base, power=dataclasses.replace(base.power, uncore_w=25.0)
+            base,
+            power=dataclasses.replace(
+                base.power, leak_w_at_nominal=2.5, uncore_w=25.0
+            ),
         )
         return machine_to_dict(base), machine_to_dict(hot)
 
     def test_machine_change_between_cells_is_invisible(self):
         dict_a, dict_b = self._machines()
         spec = _spec(seed=1)
-        fresh_a = _canon(simulate_cell(spec, dict_a)[0])
-        fresh_b = _canon(simulate_cell(spec, dict_b)[0])
+        fresh_a = _reference(spec, dict_a)
+        fresh_b = _reference(spec, dict_b)
         assert fresh_a != fresh_b  # the machines genuinely differ
 
-        arena = KernelArena()
+        cells0 = _thread_arena().cells
         session = [
-            _canon(simulate_cell(spec, dict_a, arena=arena)[0]),
-            _canon(simulate_cell(spec, dict_b, arena=arena)[0]),
-            _canon(simulate_cell(spec, dict_a, arena=arena)[0]),
+            _canon(simulate_cell(spec, dict_a)[0]),
+            _canon(simulate_cell(spec, dict_b)[0]),
+            _canon(simulate_cell(spec, dict_a)[0]),
         ]
         assert session == [fresh_a, fresh_b, fresh_a]
-        assert arena.cells == 3
+        assert _thread_arena().cells == cells0 + 3
 
     def test_same_machine_session_reuses_memos(self):
         dict_a, _ = self._machines()
-        arena = KernelArena()
-        first = _canon(simulate_cell(_spec(seed=1), dict_a, arena=arena)[0])
+        arena = _thread_arena()
+        first = _canon(simulate_cell(_spec(seed=1), dict_a)[0])
         memo_after_first = dict(arena.power_memo)
         assert memo_after_first  # warm
-        second = _canon(simulate_cell(_spec(seed=1), dict_a, arena=arena)[0])
+        second = _canon(simulate_cell(_spec(seed=1), dict_a)[0])
         assert first == second
         assert arena.fingerprint == _machine_fingerprint(dict_a)
         # Same fingerprint: the memo survived (possibly grew, never reset).
@@ -117,81 +125,15 @@ class TestArenaMachineScoping:
 
     def test_machine_change_clears_fingerprint_memos(self):
         dict_a, dict_b = self._machines()
-        arena = KernelArena()
-        simulate_cell(_spec(seed=1), dict_a, arena=arena)
+        arena = _thread_arena()
+        simulate_cell(_spec(seed=1), dict_a)
         assert arena.machine_cache  # cached parsed machine
-        simulate_cell(_spec(seed=1), dict_b, arena=arena)
+        simulate_cell(_spec(seed=1), dict_b)
         assert arena.fingerprint == _machine_fingerprint(dict_b)
         assert _machine_fingerprint(dict_a) not in arena.machine_cache
 
     def test_default_machine_session_uses_sentinel_fingerprint(self):
-        arena = KernelArena()
-        simulate_cell(_spec(seed=1), None, arena=arena)
+        simulate_cell(_spec(seed=1), None)
+        arena = _thread_arena()
         assert arena.fingerprint == "default-machine"
         assert "default-machine" in arena.machine_cache
-
-
-# --------------------------------------------------------- chunk failures
-def _fail_seed_2(spec, machine_dict=None):
-    if spec.seed == 2:
-        raise ValueError("boom from seed 2")
-    return simulate_cell(spec, machine_dict)
-
-
-def _fast_retry(**kw):
-    defaults = dict(max_attempts=2, backoff_base_s=0.01, backoff_cap_s=0.05)
-    defaults.update(kw)
-    return RetryPolicy(**defaults)
-
-
-class TestChunkFailurePaths:
-    def test_failing_cell_in_chunk_raises_its_own_error(self):
-        specs = [_spec(workload="swaptions", policy="fifo", seed=s) for s in (1, 2, 3)]
-        ex = SweepExecutor(
-            jobs=2, batch_cells=3, retry=_fast_retry(), cell_fn=_fail_seed_2
-        )
-        with pytest.raises(ValueError, match="boom from seed 2"):
-            ex.run_cells(specs)
-
-    def test_innocent_chunk_mates_complete_despite_failure(self):
-        specs = [_spec(workload="swaptions", policy="fifo", seed=s) for s in (1, 3)]
-        bad = _spec(workload="swaptions", policy="fifo", seed=2)
-        ex = SweepExecutor(
-            jobs=2, batch_cells=3, retry=_fast_retry(), cell_fn=_fail_seed_2
-        )
-        with pytest.raises(ValueError, match="boom from seed 2"):
-            ex.run_cells(specs + [bad])
-        # The survivors simulate cleanly on a fresh executor run.
-        ex2 = SweepExecutor(jobs=2, batch_cells=2, cell_fn=_fail_seed_2)
-        results, _ = ex2.run_cells(specs)
-        assert set(results) == set(specs)
-
-    def test_chunk_error_message_matches_single_cell_error(self):
-        bad = _spec(workload="swaptions", policy="fifo", seed=2)
-        single_err = chunk_err = None
-        try:
-            SweepExecutor(
-                jobs=2, batch_cells=1, retry=_fast_retry(), cell_fn=_fail_seed_2
-            ).run_cells([bad])
-        except ValueError as exc:
-            single_err = str(exc)
-        try:
-            SweepExecutor(
-                jobs=2, batch_cells=3, retry=_fast_retry(), cell_fn=_fail_seed_2
-            ).run_cells(
-                [_spec(workload="swaptions", policy="fifo", seed=1), bad]
-            )
-        except ValueError as exc:
-            chunk_err = str(exc)
-        assert single_err is not None and chunk_err is not None
-        assert single_err == chunk_err
-
-    def test_batch_cells_validated(self):
-        with pytest.raises(ValueError, match="batch_cells"):
-            SweepExecutor(batch_cells=0)
-
-    def test_injected_cell_fn_chunks_skip_the_arena(self):
-        """A non-default cell_fn keeps its two-arg signature in chunks."""
-        specs = [_spec(workload="swaptions", policy="fifo", seed=s) for s in (1, 3)]
-        out = simulate_cell_batch(tuple(specs), None, _fail_seed_2)
-        assert len(out) == 2

@@ -243,6 +243,14 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(pool_failure_limit=0)
 
+    def test_non_positive_backoff_rejected(self):
+        # A zero or negative base used to surface mid-sweep, as
+        # time.sleep(<0) raising on the first retry.
+        for kw in ({"backoff_base_s": 0}, {"backoff_base_s": -0.1},
+                   {"backoff_cap_s": 0}, {"backoff_cap_s": -1.0}):
+            with pytest.raises(ValueError, match="backoff"):
+                RetryPolicy(**kw)
+
     def test_backoff_grows_and_caps(self):
         import random
 
@@ -364,6 +372,49 @@ class TestPoolResilience:
         )
         with pytest.raises(TimeoutError, match="0.5s wall-clock"):
             ex.run_cells(specs)
+
+    def test_worker_death_before_next_submit_rebuilds_pool(self, monkeypatch):
+        """A worker that dies between ``wait()`` and the next submit makes
+        the pool refuse that submit with BrokenProcessPool; the executor
+        must rebuild the pool and finish, not let the error escape."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        class SyncPool:
+            """Runs each cell at submit; optionally breaks on submit #2."""
+
+            def __init__(self, breaks):
+                self.breaks = breaks
+                self.submits = 0
+
+            def submit(self, fn, *args):
+                self.submits += 1
+                if self.breaks and self.submits == 2:
+                    raise BrokenProcessPool("a child process terminated")
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        pools = []
+
+        def new_pool(workers):
+            pools.append(SyncPool(breaks=not pools))
+            return pools[-1]
+
+        specs = [_spec(policy=p) for p in ("fifo", "cats_sa", "cata")]
+        ex = SweepExecutor(jobs=2, retry=_fast_retry())
+        monkeypatch.setattr(ex, "_new_pool", new_pool)
+        results, batch = ex.run_cells(specs)
+        assert len(pools) == 2
+        assert batch.pool_crashes == 1
+        assert batch.retries == 0
+        for s in specs:
+            expected, _ = simulate_cell(s)
+            assert results[s].exec_time_ns == expected.exec_time_ns
+            assert results[s].energy_j == expected.energy_j
 
     def test_pool_results_bitwise_match_inline_under_faults(self, tmp_path):
         faults = "chaos:intensity=0.8,horizon=1ms"

@@ -37,6 +37,35 @@ class TestBackoffSchedule:
         assert policy.schedule() == policy.schedule()
         assert policy.schedule() != ClientRetryPolicy(jitter_seed=43).schedule()
 
+    def test_schedule_values_are_pinned(self):
+        """The shared backoff function reproduces the recorded schedules
+        exactly (a retry schedule is part of the client's contract)."""
+        assert ClientRetryPolicy().schedule() == [
+            0.23055273144063101, 0.4394886007350756,
+            0.7102857904154225, 1.2589167502929635,
+        ]
+        assert ClientRetryPolicy(
+            jitter_seed=7, max_attempts=6, backoff_base_s=0.5,
+            backoff_cap_s=3.0,
+        ).schedule() == [
+            0.3309581912082906, 0.575424586962251, 1.6509344730398539,
+            1.6086544300013141, 2.303823006460034,
+        ]
+        assert ClientRetryPolicy.none().schedule() == []
+        assert ClientRetryPolicy.none() == ClientRetryPolicy(max_attempts=1)
+
+    def test_client_and_executor_share_one_backoff(self):
+        import random
+
+        from repro.harness.executor import RetryPolicy
+
+        client = ClientRetryPolicy(backoff_base_s=0.5, backoff_cap_s=4.0)
+        executor = RetryPolicy(backoff_base_s=0.5, backoff_cap_s=4.0)
+        a, b = random.Random(11), random.Random(11)
+        assert [client.backoff_s(n, a) for n in range(1, 8)] == [
+            executor.backoff_s(n, b) for n in range(1, 8)
+        ]
+
     def test_schedule_is_jittered_exponential_and_capped(self):
         policy = ClientRetryPolicy(
             max_attempts=10, backoff_base_s=1.0, backoff_cap_s=8.0,

@@ -131,6 +131,20 @@ class TestErrorMapping:
             client.submit_body({"cells": "nope"})
         assert err.value.status == 400
 
+    def test_undurable_submission_is_500_and_registers_nothing(
+        self, live, monkeypatch
+    ):
+        def failing_fsync(fd):
+            raise OSError(5, "fsync failed")
+
+        client = ServiceClient(live.url, retry=ClientRetryPolicy.none())
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(ServiceError) as err:
+            _submit(client)
+        monkeypatch.undo()
+        assert err.value.status == 500
+        assert client.health()["jobs"] == 0
+
     def test_fetch_before_done_is_409(self, live):
         # Park a job behind a worker tier that never picks it up: stop the
         # worker thread first so the cell stays queued.

@@ -3,6 +3,7 @@ containment, and journal-backed restart/resume — all in-process (the HTTP
 front has its own tests in ``test_http.py``; true SIGKILL of a daemon
 subprocess is exercised by ``scripts/service_smoke.py`` in CI)."""
 
+import errno
 import json
 import os
 import threading
@@ -285,6 +286,37 @@ class TestRestartResume:
             entries = [json.loads(line) for line in fh if line.strip()]
         assert [e["job"] for e in entries] == [receipt["job"]]
         assert len(entries[0]["cells"]) == 2
+
+    def test_undurable_submission_is_refused_not_acknowledged(
+        self, tmp_path, monkeypatch
+    ):
+        state = str(tmp_path / "state")
+        svc = SweepService(state, jobs=1)  # worker never started
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "fsync failed")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            svc.submit(_grid())
+        with pytest.raises(KeyError):
+            svc.status("j000001")
+        assert svc.health()["jobs"] == 0
+        monkeypatch.undo()
+        svc.stop()
+
+        # A restart must not resurrect the refused job from the log.
+        life2 = SweepService(state, jobs=1)
+        try:
+            assert life2.recovered_jobs == 0
+            with pytest.raises(KeyError):
+                life2.status("j000001")
+            # And the log takes the next submission cleanly.
+            receipt = life2.submit(_grid())
+            assert life2.status(receipt["job"])["cells"] == 2
+        finally:
+            life2.stop()
+        assert SweepService(state, jobs=1).recovered_jobs == 1
 
 
 def _cell(policy, seed):
